@@ -179,6 +179,30 @@ func TestNodeContentionExcluding(t *testing.T) {
 	}
 }
 
+func TestNodeContentionExcludingHostedMatchesLookup(t *testing.T) {
+	n := NewNode(0, Vector{4, 40, 400, 4000})
+	progs := []*fakeProgram{
+		{id: "a", demand: Vector{0.1, 0.7, 3.3, 1e-3}},
+		{id: "b", demand: Vector{0.2, 1.1, 0.3, 2.9}},
+		{id: "c", demand: Vector{3.9, 39, 399, 3999}},
+	}
+	for _, p := range progs {
+		n.Host(p)
+	}
+	for _, failed := range []bool{false, true} {
+		if failed {
+			n.Fail()
+		}
+		for _, p := range progs {
+			// Exact equality: the hot path must reproduce the lookup's
+			// bits, clamping included.
+			if got, want := n.ContentionExcludingHosted(p), n.ContentionExcluding(p.id); got != want {
+				t.Fatalf("failed=%v %s: hosted variant %v, lookup %v", failed, p.id, got, want)
+			}
+		}
+	}
+}
+
 func TestNodeRefreshAfterDemandMutation(t *testing.T) {
 	n := NewNode(0, DefaultCapacity())
 	p := &fakeProgram{id: "a", demand: Vector{1, 1, 1, 1}}

@@ -155,6 +155,17 @@ func (n *Node) ContentionExcluding(id string) Vector {
 	return agg.Clamp(n.Capacity)
 }
 
+// ContentionExcludingHosted is ContentionExcluding for a program the
+// caller knows is hosted on this node: it skips the ID lookup and performs
+// the same float operations, so the result is bit-identical. Passing a
+// program hosted elsewhere subtracts a demand the aggregate never held.
+func (n *Node) ContentionExcludingHosted(p Program) Vector {
+	if n.failed {
+		return n.Capacity
+	}
+	return n.aggregate.Sub(p.Demand()).Clamp(n.Capacity)
+}
+
 // Utilization returns contention normalised by capacity for resource r in
 // [0, 1]; unlimited resources report 0.
 func (n *Node) Utilization(r Resource) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -80,9 +81,21 @@ type Instance struct {
 	svc    *Service
 	nodeID int
 
-	busy      bool
+	busy bool
+	// queue[head:] are the waiting executions; popped slots are nilled so
+	// finished executions are not kept reachable, and the slice rewinds
+	// when it drains or compacts when it would otherwise grow.
 	queue     []*Execution
+	head      int
 	migrating bool
+
+	// running is the execution in service and runX its drawn service
+	// time; the server holds at most one, so its completion event is the
+	// method value finishEv, bound once at placement instead of a closure
+	// per start.
+	running  *Execution
+	runX     float64
+	finishEv sim.Event
 
 	// rng is the instance's private service-time stream in laned mode
 	// (created lazily from the service's laneSeed and the instance's
@@ -195,7 +208,7 @@ func (in *Instance) NodeID() int { return in.nodeID }
 
 // QueueLen returns the number of waiting executions (excluding the one in
 // service), counting cancelled-but-unswept entries.
-func (in *Instance) QueueLen() int { return len(in.queue) }
+func (in *Instance) QueueLen() int { return len(in.queue) - in.head }
 
 // Busy reports whether the server is occupied.
 func (in *Instance) Busy() bool { return in.busy }
@@ -205,6 +218,11 @@ func (in *Instance) Busy() bool { return in.busy }
 func (in *Instance) enqueue(e *Execution, now float64) {
 	if in.busy {
 		e.State = ExecQueued
+		if len(in.queue) == cap(in.queue) && in.head > 0 {
+			n := copy(in.queue, in.queue[in.head:])
+			clear(in.queue[n:])
+			in.queue, in.head = in.queue[:n], 0
+		}
 		in.queue = append(in.queue, e)
 		return
 	}
@@ -221,8 +239,9 @@ func (in *Instance) start(e *Execution, now float64) {
 	e.State = ExecRunning
 	e.StartAt = now
 
-	node := in.svc.cluster.Node(in.nodeID)
-	background := node.ContentionExcluding(in.id)
+	// The instance is hosted on in.nodeID: Cluster.Move is the only
+	// relocation, and MigrateTo updates nodeID in the same event.
+	background := in.svc.cluster.Node(in.nodeID).ContentionExcludingHosted(in)
 	// The work factor scales the nominal per-request work (brownout
 	// degradation); the draw itself consumes the same stream position
 	// either way, so toggling brownout never renumbers later draws.
@@ -235,6 +254,7 @@ func (in *Instance) start(e *Execution, now float64) {
 	}
 	base *= in.svc.workFactor
 	x := in.svc.law.Sample(base, background, in.serviceRNG())
+	in.running, in.runX = e, x
 
 	if in.svc.lanes != nil {
 		cls := in.classID()
@@ -247,16 +267,19 @@ func (in *Instance) start(e *Execution, now float64) {
 				e.Sub.onStartLaned(e, startedAt, noticeNow)
 			})
 		}
-		in.svc.scheduleData(cls, cls, now+x, func(endNow float64) {
-			in.finish(e, x, endNow)
-		})
+		in.svc.scheduleData(cls, cls, now+x, in.finishEv)
 		return
 	}
 
 	e.Sub.onStart(e)
-	in.svc.engine.After(x, func(endNow float64) {
-		in.finish(e, x, endNow)
-	})
+	in.svc.engine.After(x, in.finishEv)
+}
+
+// onFinish is the completion event of the execution in service.
+func (in *Instance) onFinish(endNow float64) {
+	e, x := in.running, in.runX
+	in.running = nil
+	in.finish(e, x, endNow)
 }
 
 // finish retires a completed execution and pulls the next one from the
@@ -283,9 +306,13 @@ func (in *Instance) finish(e *Execution, x, endNow float64) {
 // next pops the queue, skipping cancelled executions, and either starts the
 // next execution or idles.
 func (in *Instance) next(now float64) {
-	for len(in.queue) > 0 {
-		e := in.queue[0]
-		in.queue = in.queue[1:]
+	for in.head < len(in.queue) {
+		e := in.queue[in.head]
+		in.queue[in.head] = nil
+		in.head++
+		if in.head == len(in.queue) {
+			in.queue, in.head = in.queue[:0], 0
+		}
 		if e.State == ExecCancelled {
 			continue
 		}

@@ -38,6 +38,12 @@ type SubRequest struct {
 	winner   *Execution
 
 	execs []*Execution
+	// first is the storage of the first execution and execBuf the initial
+	// backing array of execs, so the common single-dispatch sub-request
+	// (Basic, PCS) needs no allocation beyond its stage's slab. Later
+	// executions (RED-k siblings, reissue backups) are heap-allocated.
+	first   Execution
+	execBuf [1]*Execution
 
 	// cancelOnStart, when positive, sends cancellation messages to sibling
 	// executions when any execution begins service; the messages take
@@ -83,7 +89,13 @@ func (sub *SubRequest) EnableCancelOnStart(delay float64) { sub.cancelOnStart = 
 // instance's lane, and the root's outstanding-execution ledger for the
 // instance (PickInstance's load signal) is charged at send time.
 func (sub *SubRequest) IssueTo(in *Instance, now float64) *Execution {
-	e := &Execution{Sub: sub, Inst: in, IssuedAt: now}
+	var e *Execution
+	if sub.execs == nil {
+		e, sub.execs = &sub.first, sub.execBuf[:0]
+	} else {
+		e = new(Execution)
+	}
+	*e = Execution{Sub: sub, Inst: in, IssuedAt: now}
 	sub.execs = append(sub.execs, e)
 	svc := sub.svc()
 	if svc.lanes != nil {
@@ -177,13 +189,19 @@ func (sub *SubRequest) onComplete(e *Execution, now float64) {
 }
 
 // startStage fans the request out to every component of its current stage.
+// The stage's sub-requests share one slab allocation. It is never
+// recycled: executions that lose the race may still be queued or running
+// when the stage moves on, and the garbage collector frees the slab once
+// the last of them is gone.
 func (r *Request) startStage(now float64) {
 	svc := r.svc
 	comps := svc.stageComponents[r.stage]
 	r.stageStart = now
 	r.pending = len(comps)
-	for _, c := range comps {
-		sub := &SubRequest{Req: r, Comp: c, IssuedAt: now}
+	subs := make([]SubRequest, len(comps))
+	for i, c := range comps {
+		sub := &subs[i]
+		sub.Req, sub.Comp, sub.IssuedAt = r, c, now
 		svc.policy.Dispatch(svc, sub, now)
 	}
 }

@@ -279,6 +279,7 @@ func (s *Service) placeReplica(comp *Component, r int) {
 		svc:     s,
 		nodeID:  nodeID,
 	}
+	in.finishEv = in.onFinish
 	s.cluster.Node(nodeID).Host(in)
 	comp.Instances = append(comp.Instances, in)
 }

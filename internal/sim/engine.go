@@ -1,5 +1,5 @@
 // Package sim implements a deterministic discrete-event simulation engine:
-// a virtual clock, a binary-heap event queue, and periodic tasks. All of the
+// a virtual clock, a 4-ary heap event queue, and periodic tasks. All of the
 // PCS reproduction's cluster, workload and service dynamics run on top of
 // this engine.
 //
@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -43,7 +42,7 @@ func (h EventHandle) Cancel() bool {
 	if h.ev == nil || h.ev.index < 0 || h.ev.seq != h.seq {
 		return false
 	}
-	heap.Remove(&h.engine.queue, h.ev.index)
+	h.engine.remove(h.ev.index)
 	h.engine.recycle(h.ev)
 	return true
 }
@@ -51,32 +50,87 @@ func (h EventHandle) Cancel() bool {
 // Time returns the virtual time the event is (or was) scheduled for.
 func (h EventHandle) Time() float64 { return h.at }
 
-type eventQueue []*scheduledEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether ev fires ahead of o: earlier time first, then
+// earlier scheduling. (at, seq) is a strict total order — seq is unique —
+// so the pop sequence does not depend on the heap's shape or arity.
+func (ev *scheduledEvent) before(o *scheduledEvent) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return ev.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// heapArity is the fan-out of the event heap. A 4-ary heap halves the
+// depth of a binary one, and the four children of a slot sit next to each
+// other in memory, so sift-down touches fewer cache lines per level.
+const heapArity = 4
+
+// push inserts ev into the heap.
+func (e *Engine) push(ev *scheduledEvent) {
+	e.queue = append(e.queue, ev)
+	e.up(len(e.queue)-1, ev)
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+
+// up moves ev, destined for slot i, towards the root until its parent
+// fires ahead of it, keeping every displaced event's index current.
+func (e *Engine) up(i int, ev *scheduledEvent) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / heapArity
+		parent := q[p]
+		if !ev.before(parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
+
+// down moves ev, destined for slot i, towards the leaves until no child
+// fires ahead of it. It reports whether ev moved.
+func (e *Engine) down(i int, ev *scheduledEvent) bool {
+	q := e.queue
+	n := len(q)
+	start := i
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		last := min(first+heapArity, n)
+		for c := first + 1; c < last; c++ {
+			if q[c].before(q[m]) {
+				m = c
+			}
+		}
+		child := q[m]
+		if !child.before(ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
+	return i > start
+}
+
+// remove takes the event in slot i out of the heap and returns it; the
+// caller recycles it, which marks it unqueued. Slot 0 is the pop.
+func (e *Engine) remove(i int) *scheduledEvent {
+	q := e.queue
+	n := len(q) - 1
+	ev, last := q[i], q[n]
+	q[n] = nil
+	e.queue = q[:n]
+	if i < n && !e.down(i, last) {
+		e.up(i, last)
+	}
 	return ev
 }
 
@@ -84,7 +138,7 @@ func (q *eventQueue) Pop() any {
 // NewEngine.
 type Engine struct {
 	now     float64
-	queue   eventQueue
+	queue   []*scheduledEvent // 4-ary min-heap on (at, seq)
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -95,7 +149,7 @@ type Engine struct {
 // pre-sized so steady-state simulation rarely grows it; the event pool
 // fills lazily from fired events.
 func NewEngine() *Engine {
-	return &Engine{queue: make(eventQueue, 0, 1024)}
+	return &Engine{queue: make([]*scheduledEvent, 0, 1024)}
 }
 
 // alloc takes an event struct from the pool, or allocates a fresh one.
@@ -139,7 +193,7 @@ func (e *Engine) At(t float64, fn Event) EventHandle {
 	ev := e.alloc()
 	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return EventHandle{ev: ev, engine: e, seq: ev.seq, at: t}
 }
 
@@ -170,8 +224,7 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	next := e.queue[0]
-	heap.Pop(&e.queue)
+	next := e.remove(0)
 	e.now = next.at
 	fn := next.fn
 	e.recycle(next) // fn is saved; the struct may be reused by fn's own scheduling
