@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/shard"
@@ -37,7 +38,8 @@ type MatrixInput struct {
 	Params LatencyParams
 	// Pool, when non-nil, shards matrix construction and the Algorithm 2
 	// incremental updates across its workers. Entries are pure functions of
-	// state frozen at each barrier and land in disjoint row slots, so the
+	// state frozen at each barrier and land in disjoint row (or self-column
+	// node) slots, so the
 	// matrix — and every scheduling decision derived from it — is
 	// bit-identical at any shard count. A nil Pool evaluates inline.
 	Pool *shard.Pool
@@ -76,6 +78,14 @@ func (in *MatrixInput) validate() error {
 // The matrix tracks a virtual allocation: Migrate commits a migration
 // within the scheduling round and incrementally updates the affected
 // entries per Algorithm 2, without waiting for the physical migration.
+//
+// Each Table III term is evaluated only as often as its inputs change: the
+// mover's own latency on nj depends on (stage, node) alone and lives in a
+// per-stage self column; the origin-node overrides depend on the row alone
+// and are evaluated once per row; only the destination-node terms, which
+// depend on both, are evaluated per cell. Eq. 3 reads each stage's members
+// in latency order, so a cell's stage maximum touches only its overridden
+// members and the first member it leaves alone.
 type Matrix struct {
 	in MatrixInput
 
@@ -85,48 +95,62 @@ type Matrix struct {
 	cur       []float64    // current predicted latency per component
 	stageLat  []float64    // Eq. 3 per stage
 	overall   float64      // Eq. 4
-	stageOf   [][]int      // stage -> member component indices
+	stageOf   [][]int      // stage -> members, by descending cur (NaNs last)
 	removed   []bool       // rows frozen after their component migrated
+	selfLat   []float64    // [stage*k+node]: Table III row 1, U' = U_nj
+	onTouched []bool       // Migrate's full-row marks, cleared after use
 
 	// L and SelfGain are exposed read-only to the scheduler.
 	L        [][]float64
 	SelfGain [][]float64
 
 	// scratches holds one entry-evaluation scratch per pool shard (slot 0
-	// doubles as the sequential scratch); computeEntry runs concurrently
-	// across rows during fills, so every shard needs private override
-	// state.
+	// doubles as the sequential scratch); rows are filled concurrently, so
+	// every shard needs private row and override state.
 	scratches []*scratch
 }
 
-// scratch is the per-shard workspace of computeEntry: the latency
-// overrides a hypothetical migration imposes on co-hosted components.
+// scratch is the per-shard workspace of a row fill: the current row's
+// origin-node overrides, and the per-cell marks of which components and
+// stages a hypothetical migration overrides.
 type scratch struct {
-	overrideIdx []int
-	overrideVal []float64
-	overrideSet []int // epoch marker per component
+	originIdx   []int     // components co-hosted with the row's mover
+	originVal   []float64 // their latency with the mover gone
+	overrideSet []int     // epoch marker per component
+	stageSet    []int     // epoch marker per stage
+	stageMax    []float64 // per stage: max(0, overridden latencies)
 	epoch       int
 }
 
-func newScratch(m int) *scratch {
+// newScratch sizes a scratch for m components over the given stages; a
+// row's origin overrides start with room for the busiest node's co-hosts.
+func newScratch(m, stages, hosted int) *scratch {
 	return &scratch{
-		overrideIdx: make([]int, 0, 64),
-		overrideVal: make([]float64, m),
+		originIdx:   make([]int, 0, hosted),
+		originVal:   make([]float64, 0, hosted),
 		overrideSet: make([]int, m),
+		stageSet:    make([]int, stages),
+		stageMax:    make([]float64, stages),
 	}
 }
 
-func (sc *scratch) set(h int, v float64) {
-	if sc.overrideSet[h] != sc.epoch {
-		sc.overrideIdx = append(sc.overrideIdx, h)
-		sc.overrideSet[h] = sc.epoch
+// set overrides component h (of stage s) with latency v in the current
+// cell. Each component is overridden at most once per cell.
+func (sc *scratch) set(h, s int, v float64) {
+	sc.overrideSet[h] = sc.epoch
+	if sc.stageSet[s] != sc.epoch {
+		sc.stageSet[s] = sc.epoch
+		sc.stageMax[s] = 0
 	}
-	sc.overrideVal[h] = v
+	if v > sc.stageMax[s] {
+		sc.stageMax[s] = v
+	}
 }
 
 // BuildMatrix constructs the matrix: current latencies for every component
-// (Eq. 1→2), stage and overall latencies (Eq. 3–4), then every entry
-// L[i][j] via the Table III contention updates.
+// (Eq. 1→2), stage and overall latencies (Eq. 3–4), the self column, then
+// every entry L[i][j] via the Table III contention updates. Its allocation
+// count depends on the node, stage and shard counts but not on m.
 func BuildMatrix(in MatrixInput) (*Matrix, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -137,48 +161,84 @@ func BuildMatrix(in MatrixInput) (*Matrix, error) {
 		in:        in,
 		alloc:     make([]int, m),
 		delta:     make([][4]float64, k),
-		nodeComps: make([][]int, k),
-		cur:       make([]float64, m),
 		stageLat:  make([]float64, in.NumStages),
-		stageOf:   make([][]int, in.NumStages),
 		removed:   make([]bool, m),
+		onTouched: make([]bool, m),
 		L:         make([][]float64, m),
 		SelfGain:  make([][]float64, m),
 		scratches: make([]*scratch, in.Pool.Shards()),
 	}
-	for s := range mat.scratches {
-		mat.scratches[s] = newScratch(m)
+	// One allocation backs every float table: cur, the self column, then
+	// L's and SelfGain's rows as two m×k slabs.
+	sk := in.NumStages * k
+	floats := make([]float64, m+sk+2*m*k)
+	mat.cur, mat.selfLat, floats = floats[:m:m], floats[m:m+sk:m+sk], floats[m+sk:]
+	for i := 0; i < m; i++ {
+		mat.L[i] = floats[i*k : (i+1)*k : (i+1)*k]
+		mat.SelfGain[i] = floats[(m+i)*k : (m+i+1)*k : (m+i+1)*k]
 	}
+
+	nodeCount := make([]int, k)
+	stageCount := make([]int, in.NumStages)
+	maxHosted := 0
 	for i, c := range in.Components {
 		mat.alloc[i] = c.Node
-		mat.nodeComps[c.Node] = append(mat.nodeComps[c.Node], i)
-		mat.stageOf[c.Stage] = append(mat.stageOf[c.Stage], i)
+		nodeCount[c.Node]++
+		stageCount[c.Stage]++
+		maxHosted = max(maxHosted, nodeCount[c.Node])
 	}
-	// Every per-component latency is a pure function of the frozen input
-	// (samples, models, allocation), written to its own slot — shardable.
+	for s := range mat.scratches {
+		mat.scratches[s] = newScratch(m, in.NumStages, maxHosted)
+	}
+	mat.nodeComps = groupBy(nodeCount, in.Components, func(c ComponentState) int { return c.Node })
+	mat.stageOf = groupBy(stageCount, in.Components, func(c ComponentState) int { return c.Stage })
+
+	// Every per-component latency and every self-column entry is a pure
+	// function of the frozen input (samples, models, allocation), written
+	// to its own slot — shardable.
 	in.Pool.Run(m, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			mat.cur[i] = mat.latencyOn(i, mat.alloc[i], negv(in.Components[i].Demand))
+			mat.cur[i] = mat.latencyOn(in.Components[i].Stage, mat.alloc[i], negv(in.Components[i].Demand))
+		}
+	})
+	in.Pool.Run(k, func(_, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			mat.refreshSelf(n)
 		}
 	})
 	mat.refreshStageLatencies()
 
-	for i := 0; i < m; i++ {
-		mat.L[i] = make([]float64, k)
-		mat.SelfGain[i] = make([]float64, k)
-	}
 	// Entry fill: each shard owns a contiguous row range and its private
 	// scratch; entries read only barrier-frozen state (cur, stageLat,
-	// delta, the input) and write their own L/SelfGain cells.
+	// stageOf, selfLat, delta, the input) and write their own cells.
 	in.Pool.Run(m, func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for i := lo; i < hi; i++ {
+			mat.beginRow(i, sc)
 			for j := 0; j < k; j++ {
 				mat.computeEntry(i, j, sc)
 			}
 		}
 	})
 	return mat, nil
+}
+
+// groupBy buckets component indices by key into one slab, each bucket in
+// ascending index order with capacity equal to its count (so a later
+// append reallocates that bucket alone).
+func groupBy(count []int, comps []ComponentState, key func(ComponentState) int) [][]int {
+	slab := make([]int, len(comps))
+	out := make([][]int, len(count))
+	off := 0
+	for b, n := range count {
+		out[b] = slab[off : off : off+n]
+		off += n
+	}
+	for i, c := range comps {
+		b := key(c)
+		out[b] = append(out[b], i)
+	}
+	return out
 }
 
 // --- small signed-vector helpers (cluster.Vector clamps on Sub, which is
@@ -197,13 +257,13 @@ func addv(a vec4, v cluster.Vector, sign float64) vec4 {
 	return a
 }
 
-// latencyOn predicts component i's expected latency if its background were
-// node `node`'s sample window shifted by the virtual delta plus `adj`
-// (signed). Each shifted sample is clamped at zero before entering the
-// regression, mirroring that real contention metrics are non-negative.
-func (mat *Matrix) latencyOn(i, node int, adj vec4) float64 {
-	cs := mat.in.Components[i]
-	model := mat.in.Models[cs.Stage]
+// latencyOn predicts the expected latency of a stage-`stage` component if
+// its background were node `node`'s sample window shifted by the virtual
+// delta plus `adj` (signed). Each shifted sample is clamped at zero before
+// entering the regression, mirroring that real contention metrics are
+// non-negative.
+func (mat *Matrix) latencyOn(stage, node int, adj vec4) float64 {
+	model := mat.in.Models[stage]
 	samples := mat.in.NodeSamples[node]
 	d := mat.delta[node]
 	var w stats.Welford
@@ -227,80 +287,122 @@ func (mat *Matrix) latencyOn(i, node int, adj vec4) float64 {
 	return ExpectedLatency(mat.in.Queue, meanX, varX, mat.in.Lambda, mat.in.Params)
 }
 
-// refreshStageLatencies recomputes Eq. 3 per stage and Eq. 4 overall from
-// the cached per-component latencies.
+// refreshSelf recomputes node n's self column: for every populated stage,
+// a mover's latency on n under Table III row 1 (U' = U_nj). It depends on
+// n's delta only, so it changes only when a migration touches n.
+func (mat *Matrix) refreshSelf(n int) {
+	k := mat.in.NumNodes
+	for s, members := range mat.stageOf {
+		if len(members) > 0 {
+			mat.selfLat[s*k+n] = mat.latencyOn(s, n, vec4{})
+		}
+	}
+}
+
+// refreshStageLatencies reorders each stage's members by descending
+// current latency, then recomputes Eq. 3 per stage (the head of that
+// order) and Eq. 4 overall.
 func (mat *Matrix) refreshStageLatencies() {
 	for s, members := range mat.stageOf {
+		mat.sortByLatency(members)
 		max := 0.0
-		for _, i := range members {
-			if mat.cur[i] > max {
-				max = mat.cur[i]
-			}
+		if len(members) > 0 && mat.cur[members[0]] > max {
+			max = mat.cur[members[0]]
 		}
 		mat.stageLat[s] = max
 	}
 	mat.overall = OverallLatency(mat.stageLat)
 }
 
-// computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
-// where ci sits on nj, with the Table III contention updates applied to
-// every component on ci's origin and destination nodes. sc is the calling
-// shard's private scratch; everything else it touches is read-only during
-// a parallel fill except the (i, j) cells themselves.
-func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
-	a := mat.alloc[i]
-	if j == a {
-		mat.L[i][j] = 0
-		mat.SelfGain[i][j] = 0
-		return
+// sortByLatency orders members by descending cur with NaNs last, so the
+// first member is the stage maximum and any member's latency bounds every
+// later member's. Insertion sort: allocation-free, and near-linear on the
+// almost-sorted order Migrate leaves behind (only the two touched nodes'
+// latencies move).
+func (mat *Matrix) sortByLatency(members []int) {
+	for x := 1; x < len(members); x++ {
+		h := members[x]
+		ch := mat.cur[h]
+		y := x
+		for ; y > 0; y-- {
+			cp := mat.cur[members[y-1]]
+			if !(ch > cp || (math.IsNaN(cp) && !math.IsNaN(ch))) {
+				break
+			}
+			members[y] = members[y-1]
+		}
+		members[y] = h
 	}
+}
+
+// beginRow evaluates row i's origin-node overrides into sc (Table III,
+// U' = U − U_ci for every component sharing ci's node). They depend on the
+// row, not the column, so a row fill computes them once before its
+// computeEntry calls.
+func (mat *Matrix) beginRow(i int, sc *scratch) {
+	a := mat.alloc[i]
 	di := mat.in.Components[i].Demand
-	sc.epoch++
-	sc.overrideIdx = sc.overrideIdx[:0]
-
-	// ci itself: U' = U_nj (Table III row 1).
-	li := mat.latencyOn(i, j, vec4{})
-	sc.set(i, li)
-
-	// Components remaining on the origin node: U' = U − U_ci.
+	sc.originIdx = sc.originIdx[:0]
+	sc.originVal = sc.originVal[:0]
 	for _, h := range mat.nodeComps[a] {
 		if h == i {
 			continue
 		}
-		adj := negv(mat.in.Components[h].Demand)
+		ch := mat.in.Components[h]
+		adj := negv(ch.Demand)
 		adj = addv(adj, di, -1)
-		sc.set(h, mat.latencyOn(h, a, adj))
+		sc.originIdx = append(sc.originIdx, h)
+		sc.originVal = append(sc.originVal, mat.latencyOn(ch.Stage, a, adj))
+	}
+}
+
+// computeEntry fills L[i][j] and SelfGain[i][j]: the hypothetical world
+// where ci sits on nj, with the Table III contention updates applied to
+// every component on ci's origin and destination nodes. sc is the calling
+// shard's private scratch, primed by beginRow(i); everything else it
+// touches is read-only during a parallel fill except the (i, j) cells.
+func (mat *Matrix) computeEntry(i, j int, sc *scratch) {
+	if j == mat.alloc[i] {
+		mat.L[i][j] = 0
+		mat.SelfGain[i][j] = 0
+		return
+	}
+	ci := mat.in.Components[i]
+	sc.epoch++
+
+	// ci itself: U' = U_nj (Table III row 1), from the self column.
+	li := mat.selfLat[ci.Stage*mat.in.NumNodes+j]
+	sc.set(i, ci.Stage, li)
+
+	// Components remaining on the origin node: U' = U − U_ci (beginRow).
+	for x, h := range sc.originIdx {
+		sc.set(h, mat.in.Components[h].Stage, sc.originVal[x])
 	}
 	// Components already on the destination node: U' = U + U_ci.
 	for _, h := range mat.nodeComps[j] {
-		adj := negv(mat.in.Components[h].Demand)
-		adj = addv(adj, di, +1)
-		sc.set(h, mat.latencyOn(h, j, adj))
+		ch := mat.in.Components[h]
+		adj := negv(ch.Demand)
+		adj = addv(adj, ci.Demand, +1)
+		sc.set(h, ch.Stage, mat.latencyOn(ch.Stage, j, adj))
 	}
 
 	// Eq. 3–4 with overrides; only stages containing changed components
-	// can change.
+	// can change. An affected stage's maximum is the larger of its
+	// overridden latencies and the first member (in latency order) left
+	// alone, which bounds every later one.
 	overall := 0.0
 	for s, members := range mat.stageOf {
-		affected := false
-		for _, h := range sc.overrideIdx {
-			if mat.in.Components[h].Stage == s {
-				affected = true
-				break
-			}
-		}
-		if !affected {
+		if sc.stageSet[s] != sc.epoch {
 			overall += mat.stageLat[s]
 			continue
 		}
-		max := 0.0
+		max := sc.stageMax[s]
 		for _, h := range members {
-			v := mat.cur[h]
-			if sc.overrideSet[h] == sc.epoch {
-				v = sc.overrideVal[h]
-			}
-			if v > max {
-				max = v
+			if sc.overrideSet[h] != sc.epoch {
+				if mat.cur[h] > max {
+					max = mat.cur[h]
+				}
+				break
 			}
 		}
 		overall += max
@@ -378,11 +480,15 @@ func (mat *Matrix) Migrate(i, j int) {
 	mat.delta[j] = addv(mat.delta[j], di, +1)
 	mat.removed[i] = true
 
-	// Refresh the cached current latencies of everything on the two
-	// touched nodes (including the migrated component), then Eq. 3–4.
-	for _, n := range [2]int{a, j} {
+	// Refresh what the two touched nodes' deltas feed: their self-column
+	// entries, and the cached current latencies of everything hosted there
+	// (including the migrated component); then Eq. 3–4.
+	touched := [2]int{a, j}
+	for _, n := range touched {
+		mat.refreshSelf(n)
 		for _, h := range mat.nodeComps[n] {
-			mat.cur[h] = mat.latencyOn(h, n, negv(mat.in.Components[h].Demand))
+			mat.cur[h] = mat.latencyOn(mat.in.Components[h].Stage, n, negv(mat.in.Components[h].Demand))
+			mat.onTouched[h] = true
 		}
 	}
 	mat.refreshStageLatencies()
@@ -394,19 +500,14 @@ func (mat *Matrix) Migrate(i, j int) {
 	// shard, entries read only the state committed above, and a full-row
 	// recompute subsumes the two-column one, so the sharded fill lands the
 	// same floats the sequential loops did.
-	onTouched := make([]bool, len(mat.L))
-	for _, n := range [2]int{a, j} {
-		for _, h := range mat.nodeComps[n] {
-			onTouched[h] = true
-		}
-	}
 	mat.in.Pool.Run(len(mat.L), func(s, lo, hi int) {
 		sc := mat.scratches[s]
 		for h := lo; h < hi; h++ {
 			if mat.removed[h] {
 				continue
 			}
-			if onTouched[h] {
+			mat.beginRow(h, sc)
+			if mat.onTouched[h] {
 				for v := 0; v < mat.in.NumNodes; v++ {
 					mat.computeEntry(h, v, sc)
 				}
@@ -416,6 +517,11 @@ func (mat *Matrix) Migrate(i, j int) {
 			mat.computeEntry(h, j, sc)
 		}
 	})
+	for _, n := range touched {
+		for _, h := range mat.nodeComps[n] {
+			mat.onTouched[h] = false
+		}
+	}
 }
 
 func removeInt(s []int, x int) []int {

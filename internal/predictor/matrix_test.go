@@ -9,9 +9,17 @@ import (
 )
 
 // testMatrixInput builds a small deterministic MatrixInput: m components
-// over k nodes with a trained linear model and window samples that include
-// the components' own demands (as a monitor would observe).
-func testMatrixInput(t *testing.T, m, k int, lambda float64, seed int64) MatrixInput {
+// over k nodes with a trained linear model and 6-sample windows that
+// include the components' own demands (as a monitor would observe).
+func testMatrixInput(t testing.TB, m, k int, lambda float64, seed int64) MatrixInput {
+	t.Helper()
+	return windowedMatrixInput(t, m, k, 6, lambda, seed)
+}
+
+// windowedMatrixInput is testMatrixInput with a w-sample monitor window.
+// Stage 0 holds component 0, stage 2 component m−1 and stage 1 the rest:
+// the nutch-search shape.
+func windowedMatrixInput(t testing.TB, m, k, w int, lambda float64, seed int64) MatrixInput {
 	t.Helper()
 	src := xrand.New(seed)
 	model, err := Train(syntheticSamples(200, 0.01, seed), 1)
@@ -33,19 +41,19 @@ func testMatrixInput(t *testing.T, m, k int, lambda float64, seed int64) MatrixI
 	nodeSamples := make([][]cluster.Vector, k)
 	for n := 0; n < k; n++ {
 		base := cap.Scale(0.1 + 0.6*src.Float64())
-		win := make([]cluster.Vector, 6)
-		for w := range win {
+		win := make([]cluster.Vector, w)
+		for x := range win {
 			v := base
 			for r := 0; r < cluster.NumResources; r++ {
 				v[r] *= src.LogNormalMean(1, 0.03)
 			}
-			win[w] = v
+			win[x] = v
 		}
 		nodeSamples[n] = win
 	}
 	for _, c := range comps {
-		for w := range nodeSamples[c.Node] {
-			nodeSamples[c.Node][w] = nodeSamples[c.Node][w].Add(c.Demand)
+		for x := range nodeSamples[c.Node] {
+			nodeSamples[c.Node][x] = nodeSamples[c.Node][x].Add(c.Demand)
 		}
 	}
 	return MatrixInput{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -299,5 +300,41 @@ func TestCancelSweep(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/queue", &q)
 	if q.Depth != 0 || q.InUse != 0 {
 		t.Fatalf("executor did not drain: %+v", q)
+	}
+}
+
+// TestCanceledRunHoldsNoTokens pins the order of a running run's
+// cancellation: its executor tokens are released before its canceled
+// state is published, so a client that reads /v1/queue the moment it sees
+// the state finds the budget free. The durable server widens the window
+// this used to leave open: the terminal marker's fsync ran between the
+// published state and the token release.
+func TestCanceledRunHoldsNoTokens(t *testing.T) {
+	checkGoroutines(t)
+	for _, ts := range []*httptest.Server{newTestServer(t, 1), newDurableServer(t, 1, t.TempDir())} {
+		canceledRunHoldsNoTokens(t, ts)
+	}
+}
+
+func canceledRunHoldsNoTokens(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	for round := 0; round < 5; round++ {
+		_, body := postJSON(t, ts.URL+"/v1/runs", longRun)
+		var created RunStatus
+		if err := json.Unmarshal(body, &created); err != nil {
+			t.Fatal(err)
+		}
+		url := ts.URL + "/v1/runs/" + created.ID
+		var status RunStatus
+		for getJSON(t, url, &status); status.State == StateQueued; getJSON(t, url, &status) {
+		}
+		deleteRun(t, url)
+		for getJSON(t, url, &status); !terminalState(status.State); getJSON(t, url, &status) {
+		}
+		var q QueueStatus
+		getJSON(t, ts.URL+"/v1/queue", &q)
+		if status.State != StateCanceled || q.Depth != 0 || q.InUse != 0 {
+			t.Fatalf("round %d: run %s, queue %+v", round, status.State, q)
+		}
 	}
 }

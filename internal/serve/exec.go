@@ -10,11 +10,12 @@ import (
 // it holds while running, labelled with the run id it executes so the
 // queue is introspectable (GET /v1/queue) and cancellable by id.
 type job struct {
-	id      string
-	cost    int
-	fn      func()
-	aborted bool
-	started bool
+	id       string
+	cost     int
+	fn       func(release func())
+	aborted  bool
+	started  bool
+	released bool
 }
 
 // ticket is a submitter's handle on a queued job: Abort dequeues the job
@@ -73,9 +74,11 @@ func newExecutor(capacity int) *executor {
 
 // submit enqueues fn at the given cost (clamped to [1, capacity] so no job
 // is unrunnable) and starts it as soon as it reaches the queue head with
-// enough tokens free. The returned ticket can dequeue the job before it
-// starts.
-func (e *executor) submit(id string, cost int, fn func()) *ticket {
+// enough tokens free. fn receives an idempotent release that returns the
+// job's tokens early — a job calls it before publishing its terminal
+// state, so an observer of that state never sees the tokens still held.
+// The returned ticket can dequeue the job before it starts.
+func (e *executor) submit(id string, cost int, fn func(release func())) *ticket {
 	if cost < 1 {
 		cost = 1
 	}
@@ -99,19 +102,25 @@ func (e *executor) dispatchLocked() {
 		j.started = true
 		e.avail -= j.cost
 		go func() {
-			defer e.release(j.cost)
-			j.fn()
+			defer e.release(j)
+			j.fn(func() { e.release(j) })
 		}()
 	}
 }
 
-// release returns a finished job's tokens and re-dispatches. Tokens are
-// released exactly once per started job (the deferred call in
-// dispatchLocked is the only caller); over-release would mean a bookkeeping
-// bug upstream, so it panics rather than silently widening the budget.
-func (e *executor) release(cost int) {
+// release returns a started job's tokens and re-dispatches. It runs at
+// least once per started job (the deferred call in dispatchLocked is the
+// fallback when the job never released early) and takes effect exactly
+// once; over-release would mean a bookkeeping bug upstream, so it panics
+// rather than silently widening the budget.
+func (e *executor) release(j *job) {
 	e.mu.Lock()
-	e.avail += cost
+	if j.released {
+		e.mu.Unlock()
+		return
+	}
+	j.released = true
+	e.avail += j.cost
 	if e.avail > e.capacity {
 		panic(fmt.Sprintf("serve: executor released past capacity (%d > %d)", e.avail, e.capacity))
 	}

@@ -277,7 +277,7 @@ func (s *Server) replay() error {
 		s.specReps += n
 		s.mu.Unlock()
 		if !terminalState(r.snapshotState()) {
-			r.ticket = s.exec.submit(r.id, s.runCost(r.spec), func() { s.execute(r) })
+			r.ticket = s.exec.submit(r.id, s.runCost(r.spec), func(release func()) { s.execute(r, release) })
 		}
 	}
 	sweepIDs, sweepRecs, err := s.store.loadSweeps()
@@ -456,7 +456,7 @@ func (s *Server) newRun(spec pcs.RunSpec) (*run, error) {
 			return nil, err
 		}
 	}
-	r.ticket = s.exec.submit(r.id, s.runCost(spec), func() { s.execute(r) })
+	r.ticket = s.exec.submit(r.id, s.runCost(spec), func(release func()) { s.execute(r, release) })
 	return r, nil
 }
 
@@ -484,8 +484,9 @@ func (s *Server) finish(r *run, state, errMsg string, report *pcs.Aggregate) {
 // file; the final report is MergeStream's fold over exactly those frames —
 // the same bytes a subscriber saw — so the daemon can never report
 // something its stream does not support. A canceled context stops the run
-// at the next replication boundary and lands StateCanceled.
-func (s *Server) execute(r *run) {
+// at the next replication boundary and lands StateCanceled. The run's
+// executor tokens are released before its terminal state is published.
+func (s *Server) execute(r *run, release func()) {
 	r.mu.Lock()
 	if terminalState(r.state) {
 		// Canceled between dispatch and here; nothing to run.
@@ -494,10 +495,14 @@ func (s *Server) execute(r *run) {
 	}
 	r.state = StateRunning
 	r.mu.Unlock()
+	finish := func(state, errMsg string, report *pcs.Aggregate) {
+		release()
+		s.finish(r, state, errMsg, report)
+	}
 
 	opts, err := r.spec.Options()
 	if err != nil {
-		s.finish(r, StateFailed, err.Error(), nil)
+		finish(StateFailed, err.Error(), nil)
 		return
 	}
 	n := r.spec.Replications
@@ -508,7 +513,7 @@ func (s *Server) execute(r *run) {
 	if s.store != nil {
 		ff, err := s.store.frameWriter(r.id, r.intactBytes)
 		if err != nil {
-			s.finish(r, StateFailed, err.Error(), nil)
+			finish(StateFailed, err.Error(), nil)
 			return
 		}
 		defer ff.Close()
@@ -521,22 +526,22 @@ func (s *Server) execute(r *run) {
 	case err == nil:
 		agg, merr := pcs.MergeStream(bytes.NewReader(r.buf.bytes()))
 		if merr != nil {
-			s.finish(r, StateFailed, fmt.Sprintf("merging own stream: %v", merr), nil)
+			finish(StateFailed, fmt.Sprintf("merging own stream: %v", merr), nil)
 			return
 		}
-		s.finish(r, StateDone, "", &agg)
+		finish(StateDone, "", &agg)
 	case errors.Is(err, context.Canceled):
-		s.finish(r, StateCanceled, "", nil)
+		finish(StateCanceled, "", nil)
 	default:
-		s.finish(r, StateFailed, err.Error(), nil)
+		finish(StateFailed, err.Error(), nil)
 	}
 }
 
 // cancelRun drives a run toward StateCanceled: a still-queued run is
 // dequeued (its tokens were never held) and canceled on the spot; a
 // running run gets its context canceled and stops at the next replication
-// boundary, with the executor releasing its tokens when the worker
-// returns; a terminal run is left untouched.
+// boundary, releasing its executor tokens before it lands StateCanceled;
+// a terminal run is left untouched.
 func (s *Server) cancelRun(r *run) {
 	if r.ticket != nil && r.ticket.Abort() {
 		s.finish(r, StateCanceled, "", nil)

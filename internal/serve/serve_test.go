@@ -325,6 +325,43 @@ func TestIntrospectionAndMetrics(t *testing.T) {
 	}
 }
 
+// TestExecutorEarlyRelease pins the token hand-back contract: a job's
+// release frees its tokens while the job is still running, and the
+// executor's deferred fallback then releases nothing twice.
+func TestExecutorEarlyRelease(t *testing.T) {
+	e := newExecutor(1)
+	released := make(chan struct{})
+	finish := make(chan struct{})
+	done := make(chan struct{})
+	e.submit("run-1", 1, func(release func()) {
+		release()
+		release()
+		close(released)
+		<-finish
+	})
+	<-released
+	if queued, inUse := e.stats(); queued != 0 || inUse != 0 {
+		t.Fatalf("after early release: %d queued / %d in use", queued, inUse)
+	}
+	// The freed token admits the next job while the first still runs.
+	e.submit("run-2", 1, func(func()) { close(done) })
+	<-done
+	close(finish)
+	// The first job's deferred fallback now runs after its early release;
+	// a second hand-back would panic past capacity. The budget must
+	// settle with every token free.
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, inUse := e.stats(); inUse == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("tokens never returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestExecutorFIFO pins the queue semantics: head-of-line admission (no
 // overtaking) against the token budget.
 func TestExecutorFIFO(t *testing.T) {
@@ -332,9 +369,9 @@ func TestExecutorFIFO(t *testing.T) {
 	release1 := make(chan struct{})
 	release2 := make(chan struct{})
 	started := make(chan int, 3)
-	e.submit("run-1", 1, func() { started <- 1; <-release1 })
-	e.submit("run-2", 2, func() { started <- 2; <-release2 })
-	e.submit("run-3", 1, func() { started <- 3 })
+	e.submit("run-1", 1, func(func()) { started <- 1; <-release1 })
+	e.submit("run-2", 2, func(func()) { started <- 2; <-release2 })
+	e.submit("run-3", 1, func(func()) { started <- 3 })
 
 	if got := <-started; got != 1 {
 		t.Fatalf("first start %d", got)
@@ -373,10 +410,10 @@ func TestExecutorAbort(t *testing.T) {
 	e := newExecutor(2)
 	blockA := make(chan struct{})
 	started := make(chan string, 4)
-	tA := e.submit("a", 2, func() { started <- "a"; <-blockA })
-	tB := e.submit("b", 2, func() { started <- "b" })
-	tC := e.submit("c", 1, func() { started <- "c" })
-	tD := e.submit("d", 1, func() { started <- "d" })
+	tA := e.submit("a", 2, func(func()) { started <- "a"; <-blockA })
+	tB := e.submit("b", 2, func(func()) { started <- "b" })
+	tC := e.submit("c", 1, func(func()) { started <- "c" })
+	tD := e.submit("d", 1, func(func()) { started <- "d" })
 
 	if got := <-started; got != "a" {
 		t.Fatalf("first start %q", got)
